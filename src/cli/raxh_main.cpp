@@ -9,7 +9,6 @@
 //
 // Common options:
 //   -s <file>    PHYLIP alignment (required)
-//   -q <file>    partition scheme (only with -f e for now; see examples)
 //   -n <name>    output basename                      [raxh]
 //   -N <int>     bootstraps / searches                [100 / 10]
 //   -p <seed>    parsimony seed                       [12345]
@@ -76,6 +75,9 @@
 // Telemetry output paths are validated (and directories created) at startup
 // so a long run cannot silently lose its telemetry at the end.
 //
+// Any other flag is rejected ("error: unknown option"), so a typo or an
+// option from an older release cannot be silently ignored.
+//
 // Exit status 0 on success; messages go to stdout, errors to stderr.
 #include <algorithm>
 #include <cstdio>
@@ -130,6 +132,15 @@ void usage(const char* prog) {
       "       x=adaptive bootstrap (FC bootstopping), e=evaluate topology\n",
       prog);
 }
+
+// Every flag raxh reads, as CliParser stores it (leading dash stripped).
+const std::vector<std::string> kKnownFlags = {
+    "s", "f", "n", "N", "p", "x", "np", "T", "t", "m", "h", "-help", "simd",
+    "-kernels", "-repeats", "-collectives", "-transport", "-trace-out",
+    "-metrics-out", "-report-components", "-heartbeat-out",
+    "-straggler-factor", "-log-level", "-blackbox", "-blackbox-dir",
+    "-blackbox-dump", "-fault-tolerant", "-checkpoint-dir", "-fault-plan",
+    "-connect"};
 
 // --- minimpi flags (--collectives=star|tree / --transport=socketpair|shm) ---
 
@@ -619,6 +630,10 @@ int run_evaluate(const PatternAlignment& patterns, const CliParser& cli) {
 
 int main(int argc, char** argv) {
   const CliParser cli(argc, argv);
+  if (const auto flag = cli.first_unknown(kKnownFlags)) {
+    std::fprintf(stderr, "error: unknown option -%s\n", flag->c_str());
+    return 2;
+  }
   const auto alignment_path = cli.value("s");
   if (!alignment_path || cli.has("h") || cli.has("-help")) {
     usage(argv[0]);

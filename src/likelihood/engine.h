@@ -190,15 +190,11 @@ class LikelihoodEngine {
   std::uint64_t version_counter_ = 1;
   std::uint64_t newview_count_ = 0;
 
-  // Site-repeat state: per-slot classes plus combine scratch; copy-hit
-  // tallies feed the opt-in repeat-aware partition costs.
+  // Site-repeat state: per-slot classes plus combine scratch.
   std::vector<SlotRepeats> slot_repeats_;
   RepeatCombiner combiner_;
   std::uint64_t repeat_version_counter_ = 0;
   std::uint64_t cat_epoch_ = 0;  // bumped by set_cat_assignment
-  std::uint64_t repeat_newviews_ = 0;     // repeat-active newviews so far
-  std::uint64_t part_fold_newviews_ = 0;  // ... at the last partition build
-  std::vector<std::uint32_t> repeat_copy_hits_;  // per-pattern copies
 
   // Scratch (master-filled, crew-read).
   std::vector<double> pmat_a_, pmat_b_;

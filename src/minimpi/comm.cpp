@@ -602,6 +602,7 @@ void Packer::put_bytes(const Bytes& b) {
 
 void Unpacker::read(std::uint8_t* out, std::size_t n) {
   RAXH_EXPECTS(offset_ + n <= data_->size());
+  if (n == 0) return;  // an empty payload's data() may be null
   std::memcpy(out, data_->data() + offset_, n);
   offset_ += n;
 }

@@ -1,5 +1,6 @@
 #include "util/cli.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace raxh {
@@ -50,6 +51,14 @@ std::string CliParser::value_or(const std::string& flag,
                                 std::string fallback) const {
   auto v = value(flag);
   return v ? *v : std::move(fallback);
+}
+
+std::optional<std::string> CliParser::first_unknown(
+    const std::vector<std::string>& known) const {
+  for (const auto& [flag, value] : options_)
+    if (std::find(known.begin(), known.end(), flag) == known.end())
+      return flag;
+  return std::nullopt;
 }
 
 long long CliParser::int_or(const std::string& flag, long long fallback) const {

@@ -27,6 +27,12 @@ class CliParser {
   [[nodiscard]] double double_or(const std::string& flag,
                                  double fallback) const;
 
+  // The first flag (as stored, leading dash stripped) that occurred but is
+  // not in `known`; nullopt if every flag is known. Lets a front end reject
+  // options it does not read instead of ignoring them.
+  [[nodiscard]] std::optional<std::string> first_unknown(
+      const std::vector<std::string>& known) const;
+
   // Arguments that did not belong to any flag, in order.
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;

@@ -4,9 +4,14 @@
 // unusual working directory).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "bio/io.h"
 #include "bio/seqsim.h"
@@ -25,7 +30,11 @@ class CliSmoke : public ::testing::Test {
     binary_ = fs::absolute("../src/cli/raxh");
     if (!fs::exists(binary_)) GTEST_SKIP() << "raxh binary not found";
 
-    work_ = fs::temp_directory_path() / "raxh_cli_test";
+    // One directory per test: ctest runs the cases in parallel, and they
+    // would otherwise share (and clobber) one stdout.txt.
+    work_ = fs::temp_directory_path() /
+            (std::string("raxh_cli_test_") +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name());
     fs::create_directories(work_);
     alignment_ = (work_ / "data.phy").string();
 
@@ -129,6 +138,41 @@ TEST_F(CliSmoke, MissingFileFailsCleanly) {
 
 TEST_F(CliSmoke, UnknownModeFails) {
   EXPECT_NE(run("-s " + alignment_ + " -f z"), 0);
+}
+
+// Options raxh does not read are errors, not silently ignored — a one-letter
+// typo of a real flag included.
+TEST_F(CliSmoke, UnknownOptionsAreRejected) {
+  for (const char* option :
+       {"transports=shm", "colectives=star", "trace-outt=x.json"}) {
+    const std::string flag = std::string("--") + option;
+    EXPECT_NE(run("-s " + alignment_ + " -f d -N 1 " + flag), 0) << flag;
+    const std::string out = output();
+    EXPECT_NE(out.find("error: unknown option"), std::string::npos)
+        << flag << ": " << out;
+    EXPECT_EQ(out.find("patterns"), std::string::npos)
+        << flag << " was rejected only after the run started: " << out;
+  }
+}
+
+// Every flag the usage text advertises passes the unknown-option check
+// (-h prints the usage and exits 0 once the flags are accepted).
+TEST_F(CliSmoke, EveryUsageFlagIsAccepted) {
+  ASSERT_EQ(run("-s " + alignment_ + " -h"), 0) << output();
+  const std::string usage = output();
+  std::vector<std::string> flags;
+  std::istringstream words(usage);
+  for (std::string w; words >> w;) {
+    while (!w.empty() && (w.front() == '[' || w.front() == '(')) w.erase(0, 1);
+    if (w.size() < 2 || w[0] != '-' || std::isdigit(static_cast<unsigned char>(w[1])) != 0) continue;
+    flags.push_back(w.substr(0, std::min(w.find('='), w.find(']'))));
+  }
+  ASSERT_GE(flags.size(), 20u) << usage;
+  for (const std::string& flag : flags) {
+    EXPECT_EQ(run(flag + " -s " + alignment_ + " -h"), 0)
+        << flag << ": " << output();
+    EXPECT_EQ(output().find("unknown option"), std::string::npos) << flag;
+  }
 }
 
 }  // namespace

@@ -25,8 +25,12 @@
 namespace raxh::mpi {
 namespace {
 
+// gtest prints a parameter's raw bytes into each case's ctest name, so the
+// struct must have no padding: `processes` is an int, because a bool would
+// leave three uninitialized bytes in the names and change them from one
+// test discovery to the next.
 struct Cfg {
-  bool processes;
+  int processes;  // 0 = thread ranks, 1 = forked process ranks
   Transport transport;
   CollectiveAlgo algo;
   int nranks;

@@ -234,6 +234,13 @@ TEST(Cli, GnuStyleEqualsValues) {
   EXPECT_EQ(cli.int_or("T", 1), 4);  // plain space-separated form still works
 }
 
+TEST(Cli, FirstUnknownNamesAFlagOutsideTheKnownSet) {
+  const char* argv[] = {"raxh", "-s", "a.phy", "--bogus=1", "-T", "4"};
+  CliParser cli(static_cast<int>(std::size(argv)), argv);
+  EXPECT_EQ(cli.first_unknown({"s", "T"}), std::optional<std::string>("-bogus"));
+  EXPECT_EQ(cli.first_unknown({"s", "T", "-bogus"}), std::nullopt);
+}
+
 TEST(LogPrefix, BareFormatWhenRankAndThreadUnset) {
   // The historical format must stay byte-identical when nothing is set.
   EXPECT_EQ(format_log_prefix(LogLevel::kInfo, -1, -1, 12.3), "[INF] ");
